@@ -43,6 +43,13 @@ pub struct CgraSpec {
 }
 
 impl CgraSpec {
+    /// Largest fabric, in PEs (`rows × cols`), that a parsed spec may
+    /// describe: 4096, the size of the biggest preset (`mesh64`). Specs
+    /// are read from untrusted text (fuzz corpus artifacts), and a larger
+    /// grid would let one line request a fabric whose MRRG does not fit in
+    /// memory.
+    pub const MAX_PES: usize = 4096;
+
     /// The spec of an `n`×`n` mesh preset in the big-fabric layout
     /// (`presets::mesh16/32/64`): four registers per PE, one bank per
     /// row, memory on the outermost columns.
@@ -127,13 +134,18 @@ impl FromStr for CgraSpec {
         let (rows, cols) = dims
             .split_once('x')
             .ok_or_else(|| ParseCgraSpecError(format!("expected RxC, got '{dims}'")))?;
-        let parse_num = |what: &str, v: &str| -> Result<u64, ParseCgraSpecError> {
-            v.parse()
-                .map_err(|_| ParseCgraSpecError(format!("bad {what} '{v}'")))
-        };
+        let rows: u16 = parse_num("rows", rows)?;
+        let cols: u16 = parse_num("cols", cols)?;
+        let pes = usize::from(rows) * usize::from(cols);
+        if pes > Self::MAX_PES {
+            return Err(ParseCgraSpecError(format!(
+                "{rows}x{cols} has {pes} PEs, above the limit of {}",
+                Self::MAX_PES
+            )));
+        }
         let mut spec = CgraSpec {
-            rows: parse_num("rows", rows)? as u16,
-            cols: parse_num("cols", cols)? as u16,
+            rows,
+            cols,
             regs_per_pe: 4,
             memory_banks: 0,
             memory_columns: Vec::new(),
@@ -143,15 +155,15 @@ impl FromStr for CgraSpec {
         };
         for tok in tokens {
             if let Some(v) = tok.strip_prefix("regs=") {
-                spec.regs_per_pe = parse_num("regs", v)? as u8;
+                spec.regs_per_pe = parse_num("regs", v)?;
             } else if let Some(v) = tok.strip_prefix("banks=") {
-                spec.memory_banks = parse_num("banks", v)? as u16;
+                spec.memory_banks = parse_num("banks", v)?;
             } else if let Some(v) = tok.strip_prefix("memcols=") {
                 for c in v.split(',') {
-                    spec.memory_columns.push(parse_num("memcol", c)? as u16);
+                    spec.memory_columns.push(parse_num("memcol", c)?);
                 }
             } else if let Some(v) = tok.strip_prefix("cut=") {
-                spec.cut_row = Some(parse_num("cut", v)? as u16);
+                spec.cut_row = Some(parse_num("cut", v)?);
             } else if tok == "torus" {
                 spec.torus = true;
             } else if tok == "diag" {
@@ -162,6 +174,16 @@ impl FromStr for CgraSpec {
         }
         Ok(spec)
     }
+}
+
+/// Parses one number of a spec, rejecting values that do not fit `T`
+/// rather than truncating them.
+fn parse_num<T: FromStr<Err = std::num::ParseIntError>>(
+    what: &str,
+    v: &str,
+) -> Result<T, ParseCgraSpecError> {
+    v.parse()
+        .map_err(|e| ParseCgraSpecError(format!("bad {what} '{v}': {e}")))
 }
 
 /// Parameters for [`random_cgra_spec`].
@@ -418,6 +440,42 @@ mod tests {
         assert!("4x4 regs=zz".parse::<CgraSpec>().is_err());
         let err = "nope".parse::<CgraSpec>().unwrap_err();
         assert!(err.to_string().contains("expected RxC"));
+    }
+
+    #[test]
+    fn parse_rejects_numbers_that_overflow_their_field() {
+        // 99999 used to wrap to 34463 rows (and cols) via `as u16`.
+        let err = "99999x99999".parse::<CgraSpec>().unwrap_err();
+        assert!(err.to_string().contains("bad rows '99999'"), "{err}");
+        // 300 registers used to wrap to 44 via `as u8`.
+        let err = "4x4 regs=300".parse::<CgraSpec>().unwrap_err();
+        assert!(err.to_string().contains("bad regs '300'"), "{err}");
+        assert_eq!("4x4 regs=255".parse::<CgraSpec>().unwrap().regs_per_pe, 255);
+        for bad in [
+            "4x4 banks=65536",
+            "4x4 banks=1 memcols=0,70000",
+            "4x4 cut=65536",
+            "4x4 regs=-1",
+        ] {
+            assert!(bad.parse::<CgraSpec>().is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn parse_caps_the_fabric_size() {
+        let mesh64: CgraSpec = "64x64".parse().unwrap();
+        assert_eq!(
+            usize::from(mesh64.rows) * usize::from(mesh64.cols),
+            CgraSpec::MAX_PES
+        );
+        assert!("4096x1".parse::<CgraSpec>().is_ok());
+        for oversize in ["65x64", "4097x1", "65535x65535"] {
+            let err = oversize.parse::<CgraSpec>().unwrap_err();
+            assert!(
+                err.to_string().contains("above the limit"),
+                "{oversize}: {err}"
+            );
+        }
     }
 
     #[test]

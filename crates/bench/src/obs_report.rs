@@ -152,7 +152,7 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10} {:>12} {:>10}",
+        "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "mapper",
         "kernel",
         "II",
@@ -162,6 +162,7 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
         "iters",
         "time_ms",
         "expansions",
+        "cost_evals",
         "rip_ups"
     );
     for run in runs {
@@ -169,15 +170,16 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
             .achieved_ii
             .map_or_else(|| "-".to_string(), |ii| ii.to_string());
         let scope = run.scope();
-        let (expansions, rip_ups) = snap.map_or((0, 0), |s| {
+        let (expansions, cost_evals, rip_ups) = snap.map_or((0, 0, 0), |s| {
             (
                 counter(s, &scope, "router.expansions"),
+                counter(s, &scope, "router.cost_evals"),
                 counter(s, &scope, "pf.rip_ups"),
             )
         });
         let _ = writeln!(
             out,
-            "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10.1} {:>12} {:>10}",
+            "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10.1} {:>12} {:>12} {:>10}",
             run.mapper,
             run.kernel,
             ii,
@@ -187,6 +189,7 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
             run.iterations,
             run.elapsed_us as f64 / 1000.0,
             expansions,
+            cost_evals,
             rip_ups
         );
     }
@@ -310,10 +313,14 @@ mod tests {
     #[test]
     fn report_joins_metric_scopes() {
         let runs = parse_trace(TRACE).unwrap();
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{"pf.rip_ups":9,"router.expansions":4321},"gauges":{"engine.fabric_pes":64,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}}}}"#;
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{"pf.rip_ups":9,"router.expansions":4321,"router.cost_evals":765},"gauges":{"engine.fabric_pes":64,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}}}}"#;
         let snap = load_snapshots(&[("m.json".to_string(), snap_json.to_string())]).unwrap();
         let report = render_report(&runs, Some(&snap));
         assert!(report.contains("4321"), "{report}");
+        assert!(
+            report.contains("cost_evals") && report.contains("765"),
+            "{report}"
+        );
         assert!(report.contains("PF*/fir: II 4"), "{report}");
         assert!(report.contains("time breakdown"), "{report}");
         assert!(report.contains("run"), "{report}");

@@ -263,4 +263,14 @@ mod tests {
         let e = Artifact::from_text("").unwrap_err();
         assert!(e.to_string().contains("bad fuzz artifact"));
     }
+
+    #[test]
+    fn oversized_fabrics_are_rejected_at_parse_time() {
+        // Used to wrap to a 34463x34463 fabric that OOM-killed the mapper.
+        for arch in ["99999x99999", "65x64 regs=1", "2x2 regs=300"] {
+            let text = format!("seed 1\narch {arch}\nmax-ii 4\nexpect pass\ndfg t\nnode x add\n");
+            let e = Artifact::from_text(&text).unwrap_err();
+            assert!(e.to_string().contains("bad CGRA spec"), "{arch}: {e}");
+        }
+    }
 }

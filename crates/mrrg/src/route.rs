@@ -68,14 +68,15 @@ impl Route {
 
     /// Assembles a route from raw parts, without any routing.
     ///
-    /// Two legitimate callers exist: failure injection — building
+    /// Three legitimate callers exist: failure injection — building
     /// deliberately wrong paths (a mis-slotted cell, a register held
     /// across the modulo wrap) to prove that the simulator and the fuzz
-    /// oracle catch what structural validation alone cannot — and the
-    /// exact SAT backend's model decoder, which reconstructs cell lists
-    /// from a satisfying assignment and immediately re-validates the full
-    /// mapping. Heuristic mapping code must never call it; the router is
-    /// their only producer of correct routes.
+    /// oracle catch what structural validation alone cannot — the exact
+    /// SAT backend's model decoder, which reconstructs cell lists from a
+    /// satisfying assignment and immediately re-validates the full
+    /// mapping, and reference routers in differential tests. Heuristic
+    /// mapping code must never call it; the router is their only producer
+    /// of correct routes.
     pub fn from_parts(request: RouteRequest, resources: Vec<Resource>, cost: f64) -> Self {
         Self::new(request, resources, cost)
     }

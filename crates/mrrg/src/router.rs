@@ -12,7 +12,7 @@ use crate::{Mrrg, Occupancy, Resource, Route, RouteError, RouteRequest};
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::NodeId;
 use rewire_obs as obs;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -376,6 +376,37 @@ impl StampedRow {
 /// for binary-searched reconstruction.
 type CompactParent = (u32, u32, Resource);
 
+/// One cell a PE's carrier states step into at one DP layer, with its cost
+/// evaluated once for all of them (the per-PE cost memo of
+/// `route_attempt`).
+#[derive(Clone, Copy, Debug)]
+struct CellStep {
+    /// The state entered: the link's destination wire, or register `r` at
+    /// run length 1 (a hold of run `n` enters `next_state + n`).
+    next_state: u32,
+    /// The cell consumed.
+    res: Resource,
+    /// `CostModel::cell_cost` of `res` at this layer's phase.
+    cost: Option<f64>,
+    /// The retry overlay's penalty on `res`.
+    overlay: f64,
+}
+
+/// Work tallies of one route call, flushed to the `router.*` metrics.
+#[derive(Debug, Default)]
+struct RouteTally {
+    /// Relaxations, one per (state, cell) transition tried.
+    expansions: u64,
+    /// `CostModel::cell_cost` calls.
+    cost_evals: u64,
+    /// States skipped by the hop-distance bound.
+    pruned: u64,
+    /// Largest live frontier of any layer.
+    frontier_peak: u64,
+    /// Attempts repeated to steer away from a looped cell.
+    retries: u64,
+}
+
 /// How many distinct fabric topologies one scratch keeps distance oracles
 /// for. Mapping alternates over at most a handful of fabrics at a time
 /// (fuzz differentials pit two, the scaling sweep walks one per size);
@@ -423,6 +454,9 @@ pub struct RouterScratch {
     frontier: Vec<u32>,
     /// Live states being collected for the next layer.
     next_frontier: Vec<u32>,
+    /// The per-PE cost memo of the layer being swept: the current PE's
+    /// outgoing link cells, then its register cells.
+    steps: Vec<CellStep>,
     /// Cells seen while scanning a candidate route for duplicates.
     seen_cells: CellBitset,
     /// Cells seen at least twice in the candidate route.
@@ -449,6 +483,7 @@ struct RouteMetricHandles {
     route_failed: obs::Counter,
     route_ns: obs::Counter,
     expansions: obs::Counter,
+    cost_evals: obs::Counter,
     pruned_states: obs::Counter,
     retries: obs::Counter,
     route_len: obs::Histogram,
@@ -464,6 +499,7 @@ impl RouteMetricHandles {
             route_failed: obs::counter("router.route_failed"),
             route_ns: obs::counter("router.route_ns"),
             expansions: obs::counter("router.expansions"),
+            cost_evals: obs::counter("router.cost_evals"),
             pruned_states: obs::counter("router.pruned_states"),
             retries: obs::counter("router.retries"),
             route_len: obs::histogram("router.route_len"),
@@ -693,30 +729,19 @@ impl<'a> Router<'a> {
         scratch: &mut RouterScratch,
     ) -> Result<Route, RouteError> {
         let start = Instant::now();
-        let expansions = Cell::new(0u64);
-        let pruned = Cell::new(0u64);
-        let frontier_peak = Cell::new(0u64);
-        let mut retries = 0u64;
-        let result = self.route_inner(
-            occ,
-            req,
-            cost,
-            scratch,
-            &expansions,
-            &pruned,
-            &frontier_peak,
-            &mut retries,
-        );
+        let mut tally = RouteTally::default();
+        let result = self.route_inner(occ, req, cost, scratch, &mut tally);
         let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Observe-only accounting: never feeds back into routing decisions.
         let m = scratch.metrics();
         m.route_calls.incr();
-        m.expansions.add(expansions.get());
-        m.pruned_states.add(pruned.get());
+        m.expansions.add(tally.expansions);
+        m.cost_evals.add(tally.cost_evals);
+        m.pruned_states.add(tally.pruned);
         if self.mode == RouterMode::Pruned {
-            m.frontier_size.record(frontier_peak.get());
+            m.frontier_size.record(tally.frontier_peak);
         }
-        m.retries.add(retries);
+        m.retries.add(tally.retries);
         m.route_ns.add(elapsed_ns);
         match &result {
             Ok(route) => {
@@ -811,27 +836,22 @@ impl<'a> Router<'a> {
         Ok(routed.into_iter().map(|(_, r)| r).collect())
     }
 
-    #[allow(clippy::too_many_arguments)] // internal plumbing for metric tallies
     fn route_inner(
         &self,
         occ: &Occupancy,
         req: &RouteRequest,
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
-        expansions: &Cell<u64>,
-        pruned: &Cell<u64>,
-        frontier_peak: &Cell<u64>,
-        retries: &mut u64,
+        tally: &mut RouteTally,
     ) -> Result<Route, RouteError> {
         scratch.reset_overlay(self.mrrg.num_cells());
         for _attempt in 0..10 {
-            let route =
-                self.route_attempt(occ, req, cost, scratch, expansions, pruned, frontier_peak)?;
+            let route = self.route_attempt(occ, req, cost, scratch, tally)?;
             let duplicates = scratch.duplicate_cells(self.mrrg, route.resources());
             if duplicates.is_empty() {
                 return Ok(route);
             }
-            *retries += 1;
+            tally.retries += 1;
             // Steer the next attempt away from every looped cell.
             for cell in duplicates {
                 scratch.penalise(self.mrrg.index_of(cell), 8.0);
@@ -865,16 +885,27 @@ impl<'a> Router<'a> {
     /// [`DistanceOracle::DENSE_PE_LIMIT`] PEs therefore preserves
     /// byte-identical routes too — it just prunes less than the dense
     /// tier would.
-    #[allow(clippy::too_many_arguments)] // internal plumbing for metric tallies
+    ///
+    /// # Why the per-PE cost memo is exact
+    ///
+    /// Every carrier state of one PE relaxes the same cells at layer `k`:
+    /// the PE's outgoing links and its registers, all at this layer's
+    /// slot. The sweep therefore evaluates `cell_cost` and the overlay of
+    /// those cells once, when it reaches the PE's first live state, and
+    /// every state of that PE relaxes from the stored values. This cannot
+    /// change a route: `occ` and the overlay are fixed for the whole
+    /// attempt and cost models are pure; the frontier is sorted, so a
+    /// PE's states are contiguous and its memo is never rebuilt within a
+    /// layer; and each relaxation still happens in the same order with
+    /// the same `base + c + overlay` sum, so f64 rounding and every
+    /// strict-`<` tie-break are untouched.
     fn route_attempt(
         &self,
         occ: &Occupancy,
         req: &RouteRequest,
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
-        expansions: &Cell<u64>,
-        pruned: &Cell<u64>,
-        frontier_peak: &Cell<u64>,
+        tally: &mut RouteTally,
     ) -> Result<Route, RouteError> {
         let len = req
             .num_steps()
@@ -924,6 +955,7 @@ impl<'a> Router<'a> {
             parents,
             frontier,
             next_frontier,
+            steps,
             ..
         } = scratch;
         cur.begin(num_states);
@@ -931,7 +963,7 @@ impl<'a> Router<'a> {
         cur.set(src_state, 0.0);
         frontier.clear();
         frontier.push(src_state as u32);
-        frontier_peak.set(frontier_peak.get().max(1));
+        tally.frontier_peak = tally.frontier_peak.max(1);
         // Dense parent scratch grows to the largest shape seen; entries
         // are only read for states live in `next`, so no per-layer fill.
         if parent_state.len() < num_states {
@@ -965,6 +997,10 @@ impl<'a> Router<'a> {
                 Some(_) => frontier.len(),
                 None => num_states,
             };
+            // The PE whose cells `steps` holds, and how many of them are
+            // links (the rest are its registers, in register order).
+            let mut memo_pe = usize::MAX;
+            let mut num_links = 0;
             // An index loop, not a frontier iterator: in dense mode `i`
             // IS the state id and the frontier is untouched.
             #[allow(clippy::needless_range_loop)]
@@ -980,75 +1016,87 @@ impl<'a> Router<'a> {
                 let (pe_idx, carrier) = decode(state);
                 if let Some(b) = &bound {
                     if b.get(pe_idx) > hop_budget {
-                        pruned.set(pruned.get() + 1);
+                        tally.pruned += 1;
                         continue;
                     }
                 }
-                // PeIds are dense row-major indices, so the state's PE is a
-                // direct construction (this used to be an O(num_pes)
-                // iterator walk in the DP inner loop).
-                let pe = PeId::new(pe_idx as u32);
 
-                let mrrg = self.mrrg;
-                let relax = |next_state: usize,
-                             res: Resource,
-                             next_row: &mut StampedRow,
-                             pstate: &mut Vec<u32>,
-                             pres: &mut Vec<Resource>,
-                             live: &mut Vec<u32>| {
-                    expansions.set(expansions.get() + 1);
-                    if let Some(c) = cost.cell_cost(occ, res, req.signal, k as u32) {
-                        let cand = base + c + overlay[mrrg.index_of(res)];
-                        if cand < next_row.get(next_state) {
-                            if next_row.set(next_state, cand) {
-                                live.push(next_state as u32);
+                if pe_idx != memo_pe {
+                    // First live state of this PE in this layer: price its
+                    // cells once for all of its carrier states.
+                    memo_pe = pe_idx;
+                    // PeIds are dense row-major indices, so the state's PE
+                    // is a direct construction.
+                    let pe = PeId::new(pe_idx as u32);
+                    steps.clear();
+                    num_links = self.cgra.links_from(pe).len();
+                    let mut price = |next_state: usize, res: Resource| {
+                        tally.cost_evals += 1;
+                        steps.push(CellStep {
+                            next_state: next_state as u32,
+                            res,
+                            cost: cost.cell_cost(occ, res, req.signal, k as u32),
+                            overlay: overlay[self.mrrg.index_of(res)],
+                        });
+                    };
+                    // Link hops (legal from wire and from a register
+                    // read-out).
+                    for link in self.cgra.links_from(pe) {
+                        let res = Resource::Link {
+                            link: link.id(),
+                            slot,
+                        };
+                        price(encode(link.dst().index(), Carrier::Wire), res);
+                    }
+                    for r in 0..regs as u8 {
+                        let res = Resource::Reg { pe, reg: r, slot };
+                        price(encode(pe_idx, Carrier::Reg(r, 1)), res);
+                    }
+                }
+                let (links, reg_steps) = steps.split_at(num_links);
+
+                let mut relax = |next_state: usize, step: &CellStep| {
+                    tally.expansions += 1;
+                    if let Some(c) = step.cost {
+                        let cand = base + c + step.overlay;
+                        if cand < next.get(next_state) {
+                            if next.set(next_state, cand) {
+                                next_frontier.push(next_state as u32);
                             }
-                            pstate[next_state] = state as u32;
-                            pres[next_state] = res;
+                            parent_state[next_state] = state as u32;
+                            parent_res[next_state] = step.res;
                         }
                     }
                 };
 
-                // Link hops (legal from wire and from a register read-out).
-                for link in self.cgra.links_from(pe) {
-                    let res = Resource::Link {
-                        link: link.id(),
-                        slot,
-                    };
-                    let ns = encode(link.dst().index(), Carrier::Wire);
-                    relax(ns, res, next, parent_state, parent_res, next_frontier);
+                for step in links {
+                    relax(step.next_state as usize, step);
                 }
-
                 match carrier {
                     Carrier::Wire => {
                         // Park in any register.
-                        for r in 0..regs as u8 {
-                            let res = Resource::Reg { pe, reg: r, slot };
-                            let ns = encode(pe_idx, Carrier::Reg(r, 1));
-                            relax(ns, res, next, parent_state, parent_res, next_frontier);
+                        for step in reg_steps {
+                            relax(step.next_state as usize, step);
                         }
                     }
                     Carrier::Reg(r, run) => {
                         // Keep holding (bounded by II so no modulo cell is
                         // claimed twice by this route).
                         if run < ii {
-                            let res = Resource::Reg { pe, reg: r, slot };
-                            let ns = encode(pe_idx, Carrier::Reg(r, run + 1));
-                            relax(ns, res, next, parent_state, parent_res, next_frontier);
+                            let step = &reg_steps[r as usize];
+                            relax(step.next_state as usize + run as usize, step);
                         }
                         // Transfer to a sibling register.
-                        for r2 in 0..regs as u8 {
-                            if r2 != r {
-                                let res = Resource::Reg { pe, reg: r2, slot };
-                                let ns = encode(pe_idx, Carrier::Reg(r2, 1));
-                                relax(ns, res, next, parent_state, parent_res, next_frontier);
+                        for (r2, step) in reg_steps.iter().enumerate() {
+                            if r2 != r as usize {
+                                relax(step.next_state as usize, step);
                             }
                         }
                     }
                 }
             }
 
-            frontier_peak.set(frontier_peak.get().max(next_frontier.len() as u64));
+            tally.frontier_peak = tally.frontier_peak.max(next_frontier.len() as u64);
             // Compact this layer's parents: one entry per live state,
             // sorted by state id. The sort doubles as the pre-ordering the
             // next layer's pruned sweep needs for dense-identical
@@ -1087,7 +1135,8 @@ impl<'a> Router<'a> {
                 link: link.id(),
                 slot: arrive_slot,
             };
-            expansions.set(expansions.get() + 1);
+            tally.expansions += 1;
+            tally.cost_evals += 1;
             let Some(hop_cost) = cost.cell_cost(occ, res, req.signal, len as u32) else {
                 continue;
             };
