@@ -169,7 +169,6 @@ impl PathFinderMapper {
 
         let _negotiate_span = obs::span("negotiate");
         let mut iterations = 0u64;
-        let trace = std::env::var_os("PF_TRACE").is_some();
         let tree_mode = default_fanout_mode() == FanoutMode::Tree;
         // Stall detection drives the escalation to *partial remapping*
         // (the paper's term): when single-node moves stop reducing the
@@ -242,15 +241,6 @@ impl PathFinderMapper {
                     }
                 }
             }
-            if trace && iterations.is_multiple_of(25) {
-                eprintln!(
-                    "  it={iterations} victim={} unplaced={} overuse={} ill={}",
-                    dfg.node(victim).name(),
-                    mapping.unplaced_nodes(dfg).len(),
-                    mapping.total_overuse(),
-                    mapping.ill_mapped_nodes(dfg).len()
-                );
-            }
             // Coordinated rip-up: an unrouted edge needs BOTH endpoints to
             // move towards each other, so rip the partners too. They rejoin
             // the ill pool and are re-placed with the victim's new position
@@ -299,51 +289,6 @@ impl PathFinderMapper {
         if mapping.is_complete(dfg) {
             debug_assert!(mapping.is_valid(dfg, cgra));
             return (Some(mapping), iterations, 0);
-        }
-        if std::env::var_os("PF_DEBUG").is_some() {
-            eprintln!(
-                "PF_DEBUG ii={ii} iters={iterations} unplaced={} unrouted={} overuse={}",
-                mapping.unplaced_nodes(dfg).len(),
-                mapping.unrouted_edges(dfg).len(),
-                mapping.total_overuse()
-            );
-            for e in mapping.unrouted_edges(dfg) {
-                let ed = dfg.edge(e);
-                eprintln!(
-                    "  unrouted {}->{} dist={} src={:?} dst={:?}",
-                    dfg.node(ed.src()).name(),
-                    dfg.node(ed.dst()).name(),
-                    ed.distance(),
-                    mapping.placement(ed.src()),
-                    mapping.placement(ed.dst())
-                );
-            }
-            for v in mapping.unplaced_nodes(dfg) {
-                eprintln!(
-                    "  unplaced {} t={} op={}",
-                    dfg.node(v).name(),
-                    asap[v.index()],
-                    dfg.node(v).op()
-                );
-                for e in dfg.in_edges(v) {
-                    eprintln!(
-                        "    in  {} t={} placed={:?} dist={}",
-                        dfg.node(e.src()).name(),
-                        asap[e.src().index()],
-                        mapping.placement(e.src()),
-                        e.distance()
-                    );
-                }
-                for e in dfg.out_edges(v) {
-                    eprintln!(
-                        "    out {} t={} placed={:?} dist={}",
-                        dfg.node(e.dst()).name(),
-                        asap[e.dst().index()],
-                        mapping.placement(e.dst()),
-                        e.distance()
-                    );
-                }
-            }
         }
         (None, iterations, mapping.total_overuse() as u64)
     }

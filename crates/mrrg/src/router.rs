@@ -6,8 +6,15 @@
 //! consumes exactly one MRRG cell. A min-cost path is found with one dynamic
 //! -programming sweep per layer — no priority queue needed because all
 //! edges advance exactly one layer.
+//!
+//! There is one sweep. It visits only the live states of a layer, skips
+//! those the [`DistanceOracle`] hop bound proves cannot reach the
+//! destination in time, and prices each PE's cells once per layer; the
+//! exactness arguments sit on `Router::route_attempt`. The dense
+//! `0..num_states` DP it replaced survives only as the test-only reference
+//! in `crates/mrrg/tests/common/`, against which routes are byte-identical.
 
-use crate::distance::{DistanceBound, DistanceOracle};
+use crate::distance::DistanceOracle;
 use crate::{Mrrg, Occupancy, Resource, Route, RouteError, RouteRequest};
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::NodeId;
@@ -166,62 +173,8 @@ impl<C: CostModel> CostModel for TreeCost<'_, C> {
     }
 }
 
-/// Sweep strategy for the router's per-layer dynamic program.
-///
-/// Both modes produce byte-identical routes (pinned by the differential
-/// tests in `crates/mrrg/tests/route_pruning.rs`); they differ only in how
-/// many states they relax per layer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RouterMode {
-    /// Sweep a sorted sparse frontier of live states and skip any state
-    /// whose PE cannot reach the destination in the remaining steps, using
-    /// the [`DistanceOracle`] hop bound as an admissible lower bound. The
-    /// default.
-    Pruned,
-    /// The original dense `0..num_states` sweep. Kept compiled (not just
-    /// `#[cfg(test)]`) so the differential tests and the `router_prune`
-    /// bench can run it as the oracle against the pruned path.
-    Dense,
-}
-
-/// Process-wide default mode picked up by [`Router::new`]. A global (not a
-/// thread-local) because the portfolio mapper routes from freshly spawned
-/// worker threads, and a whole-process differential run (tests, bench,
-/// `--router dense`) must reach those too.
-static DEFAULT_ROUTER_MODE: AtomicU8 = AtomicU8::new(0); // 0 = Pruned
-
-fn mode_to_u8(mode: RouterMode) -> u8 {
-    match mode {
-        RouterMode::Pruned => 0,
-        RouterMode::Dense => 1,
-    }
-}
-
-fn mode_from_u8(v: u8) -> RouterMode {
-    if v == 0 {
-        RouterMode::Pruned
-    } else {
-        RouterMode::Dense
-    }
-}
-
-/// Sets the process-wide default [`RouterMode`] and returns the previous
-/// one, so differential harnesses can restore it. Routers already
-/// constructed keep the mode they were built with.
-pub fn set_default_router_mode(mode: RouterMode) -> RouterMode {
-    mode_from_u8(DEFAULT_ROUTER_MODE.swap(mode_to_u8(mode), Ordering::SeqCst))
-}
-
-/// The process-wide default [`RouterMode`] used by [`Router::new`].
-pub fn default_router_mode() -> RouterMode {
-    mode_from_u8(DEFAULT_ROUTER_MODE.load(Ordering::SeqCst))
-}
-
-/// How multi-sink signals are routed.
-///
-/// Orthogonal to [`RouterMode`] (which picks the DP sweep strategy):
-/// `FanoutMode` decides whether a producer's fan-out edges are routed as
-/// one shared route tree or as independent per-edge paths.
+/// How multi-sink signals are routed: as one shared route tree per
+/// producer, or as independent per-edge paths.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FanoutMode {
     /// Route fan-out as shared route trees: branches are grown in
@@ -234,10 +187,10 @@ pub enum FanoutMode {
     PerEdge,
 }
 
-/// Process-wide default fan-out mode picked up by the mappers. Global for
-/// the same reason as [`DEFAULT_ROUTER_MODE`]: portfolio workers route
-/// from freshly spawned threads, and a whole-process differential run
-/// must reach those too.
+/// Process-wide default fan-out mode picked up by the mappers. A global
+/// (not a thread-local) because portfolio workers route from freshly
+/// spawned threads, and a whole-process differential run must reach those
+/// too.
 static DEFAULT_FANOUT_MODE: AtomicU8 = AtomicU8::new(0); // 0 = Tree
 
 fn fanout_to_u8(mode: FanoutMode) -> u8 {
@@ -667,30 +620,17 @@ pub fn install_thread_distance_table(oracle: Arc<DistanceOracle>) {
 pub struct Router<'a> {
     cgra: &'a Cgra,
     mrrg: &'a Mrrg,
-    mode: RouterMode,
 }
 
 impl<'a> Router<'a> {
-    /// Creates a router over `cgra` time-extended as `mrrg`, using the
-    /// process-wide [`default_router_mode`].
+    /// Creates a router over `cgra` time-extended as `mrrg`.
     pub fn new(cgra: &'a Cgra, mrrg: &'a Mrrg) -> Self {
-        Self::with_mode(cgra, mrrg, default_router_mode())
-    }
-
-    /// Creates a router with an explicit sweep mode, for differential
-    /// harnesses that pin dense and pruned routers side by side.
-    pub fn with_mode(cgra: &'a Cgra, mrrg: &'a Mrrg, mode: RouterMode) -> Self {
-        Self { cgra, mrrg, mode }
+        Self { cgra, mrrg }
     }
 
     /// The MRRG shape in use.
     pub fn mrrg(&self) -> &Mrrg {
         self.mrrg
-    }
-
-    /// The sweep mode this router was constructed with.
-    pub fn mode(&self) -> RouterMode {
-        self.mode
     }
 
     /// Finds a minimum-cost path satisfying `req` under `cost`.
@@ -738,9 +678,7 @@ impl<'a> Router<'a> {
         m.expansions.add(tally.expansions);
         m.cost_evals.add(tally.cost_evals);
         m.pruned_states.add(tally.pruned);
-        if self.mode == RouterMode::Pruned {
-            m.frontier_size.record(tally.frontier_peak);
-        }
+        m.frontier_size.record(tally.frontier_peak);
         m.retries.add(tally.retries);
         m.route_ns.add(elapsed_ns);
         match &result {
@@ -876,7 +814,9 @@ impl<'a> Router<'a> {
     /// states can never change the value, nor the parent, of any state the
     /// arrival scan reads — and sweeping the live frontier in ascending
     /// state order preserves the dense scan's strict-`<` tie-breaks.
-    /// Routes are therefore byte-identical across [`RouterMode`]s.
+    /// Routes are therefore byte-identical to a dense `0..num_states`
+    /// sweep, which the tests keep as the independent reference
+    /// (`crates/mrrg/tests/common/`).
     ///
     /// The argument needs only an *admissible* bound, not the exact
     /// distance: pruning on `lb(p, dst) > budget` with `lb ≤ dist` skips a
@@ -935,15 +875,11 @@ impl<'a> Router<'a> {
             }
         };
 
-        const INF: f64 = f64::INFINITY;
         // The hop oracle is resolved before the scratch is split into
         // field borrows; the `Arc` keeps the bound view alive for the
         // sweep.
-        let oracle = match self.mode {
-            RouterMode::Pruned => Some(scratch.distances_for(self.cgra)),
-            RouterMode::Dense => None,
-        };
-        let bound: Option<DistanceBound<'_>> = oracle.as_deref().map(|o| o.bound_to(req.dst_pe));
+        let oracle = scratch.distances_for(self.cgra);
+        let bound = oracle.bound_to(req.dst_pe);
         // Split the scratch into disjoint field borrows so the DP can hold
         // the overlay immutably while writing the value/parent rows.
         let RouterScratch {
@@ -989,36 +925,20 @@ impl<'a> Router<'a> {
             // included) plus the optional delivery hop to reach `dst`.
             let hop_budget = (len - k) as u32 + 1;
 
-            // Pruned mode sweeps the live frontier (sorted ascending by
-            // the previous layer's compaction); dense mode scans every
-            // state id. Ascending order either way keeps every strict-`<`
-            // tie-break identical across modes.
-            let sweep_len = match bound {
-                Some(_) => frontier.len(),
-                None => num_states,
-            };
             // The PE whose cells `steps` holds, and how many of them are
             // links (the rest are its registers, in register order).
             let mut memo_pe = usize::MAX;
             let mut num_links = 0;
-            // An index loop, not a frontier iterator: in dense mode `i`
-            // IS the state id and the frontier is untouched.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..sweep_len {
-                let state = match bound {
-                    Some(_) => frontier[i] as usize,
-                    None => i,
-                };
+            // The live frontier is sorted ascending by the previous
+            // layer's compaction, which keeps every strict-`<` tie-break
+            // identical to a dense scan of all state ids.
+            for &state in frontier.iter() {
+                let state = state as usize;
                 let base = cur.get(state);
-                if base == INF {
-                    continue; // dense mode only: frontier states are live
-                }
                 let (pe_idx, carrier) = decode(state);
-                if let Some(b) = &bound {
-                    if b.get(pe_idx) > hop_budget {
-                        tally.pruned += 1;
-                        continue;
-                    }
+                if bound.get(pe_idx) > hop_budget {
+                    tally.pruned += 1;
+                    continue;
                 }
 
                 if pe_idx != memo_pe {
@@ -1099,8 +1019,7 @@ impl<'a> Router<'a> {
             tally.frontier_peak = tally.frontier_peak.max(next_frontier.len() as u64);
             // Compact this layer's parents: one entry per live state,
             // sorted by state id. The sort doubles as the pre-ordering the
-            // next layer's pruned sweep needs for dense-identical
-            // tie-breaks.
+            // next layer's sweep needs for dense-identical tie-breaks.
             next_frontier.sort_unstable();
             parent.clear();
             parent.extend(
@@ -1568,14 +1487,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_pruned_routers_agree_and_prune() {
+    fn router_prunes_and_records_the_frontier() {
         let (cgra, mrrg) = setup(4);
         let occ = Occupancy::new(&mrrg);
-        let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
-        let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
-        let _scope = obs::scope("test/dense_vs_pruned_unit");
-        let mut ds = RouterScratch::new();
-        let mut ps = RouterScratch::new();
+        let router = Router::new(&cgra, &mrrg);
+        let _scope = obs::scope("test/router_prunes_unit");
+        let mut scratch = RouterScratch::new();
         for (src, dst, depart, arrive) in [
             ((0, 0), (2, 3), 1, 6),
             ((0, 0), (0, 1), 1, 4),
@@ -1589,21 +1506,21 @@ mod tests {
                 pe(&cgra, dst.0, dst.1),
                 arrive,
             );
-            let a = dense.route_with(&occ, &r, &UnitCost, &mut ds).unwrap();
-            let b = pruned.route_with(&occ, &r, &UnitCost, &mut ps).unwrap();
-            assert_eq!(a, b, "{r:?}");
+            router
+                .route_with(&occ, &r, &UnitCost, &mut scratch)
+                .unwrap();
         }
         let snap = obs::metrics().snapshot();
-        let s = &snap.scopes["test/dense_vs_pruned_unit"];
+        let s = &snap.scopes["test/router_prunes_unit"];
         assert!(
             s.counters["router.pruned_states"] > 0,
             "the oracle pruned something on a 4x4 fabric"
         );
-        assert!(s.histograms["router.frontier_size"].count > 0);
+        assert_eq!(s.histograms["router.frontier_size"].count, 4);
     }
 
     #[test]
-    fn unreachable_destination_is_no_path_in_both_modes() {
+    fn unreachable_destination_is_no_path() {
         // A deliberately disconnected fabric: rows 0..1 and 1..3 are
         // separate islands, so cross-island requests must fail cleanly.
         let cgra = rewire_arch::CgraBuilder::new(3, 3)
@@ -1613,24 +1530,10 @@ mod tests {
         let mrrg = Mrrg::new(&cgra, 2);
         let occ = Occupancy::new(&mrrg);
         let r = req(0, pe(&cgra, 0, 0), 1, pe(&cgra, 2, 2), 9);
-        for mode in [RouterMode::Dense, RouterMode::Pruned] {
-            let router = Router::with_mode(&cgra, &mrrg, mode);
-            let e = router.route(&occ, &r, &UnitCost).unwrap_err();
-            assert!(matches!(e, RouteError::NoPath { .. }), "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn default_mode_toggle_round_trips() {
-        // Serialized within this one test: other tests in this binary never
-        // touch the global default.
-        assert_eq!(default_router_mode(), RouterMode::Pruned);
-        let prev = set_default_router_mode(RouterMode::Dense);
-        assert_eq!(prev, RouterMode::Pruned);
-        let (cgra, mrrg) = setup(2);
-        assert_eq!(Router::new(&cgra, &mrrg).mode(), RouterMode::Dense);
-        set_default_router_mode(prev);
-        assert_eq!(Router::new(&cgra, &mrrg).mode(), RouterMode::Pruned);
+        let e = Router::new(&cgra, &mrrg)
+            .route(&occ, &r, &UnitCost)
+            .unwrap_err();
+        assert!(matches!(e, RouteError::NoPath { .. }));
     }
 
     #[test]

@@ -1,25 +1,28 @@
-//! Differential route-equivalence: the pruned sparse-frontier router must
-//! be byte-identical to the dense DP it replaced.
+//! Differential route-equivalence: the router's one sweep, pruned to a
+//! sparse frontier, must be byte-identical to the dense DP it replaced.
 //!
 //! Pruning uses the hop-distance oracle as an admissible lower bound, so
 //! it may only skip states that can never contribute to an arrival
 //! candidate — costs, parents and every strict-`<` tie-break must come out
-//! exactly the same. These tests drive both [`RouterMode`]s over random
-//! fabrics (including torus, diagonal and deliberately disconnected
-//! ones), random occupancies and both cost models, and assert the full
-//! `Result<Route, RouteError>` is equal. The mapper-level counterpart
-//! (all four mappers over the kernel suite) lives in
-//! `tests/route_pruning_mappers.rs` at the workspace root.
+//! exactly the same. The dense DP survives only as the test-only
+//! reference in `common/` (called with no oracle). These tests drive the
+//! router and that reference over random fabrics (including torus,
+//! diagonal and deliberately disconnected ones), random occupancies, both
+//! cost models and both oracle tiers, and assert the full `Result<Route,
+//! RouteError>` is equal.
 
+mod common;
+
+use common::{reference_route, route_counted, RefTally};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rewire_arch::random::{random_cgra_spec, RandomCgraParams};
-use rewire_arch::{presets, PeId};
+use rewire_arch::{presets, Cgra, Coord, PeId};
 use rewire_dfg::NodeId;
 use rewire_mrrg::{
-    DistanceOracle, Mrrg, NegotiatedCost, Occupancy, RouteRequest, Router, RouterMode,
-    RouterScratch, TieredDistance, UnitCost,
+    CostModel, DistanceOracle, Mrrg, NegotiatedCost, Occupancy, Route, RouteError, RouteRequest,
+    Router, RouterScratch, TieredDistance, UnitCost,
 };
 use std::sync::Arc;
 
@@ -34,20 +37,33 @@ fn fuzz_params() -> RandomCgraParams {
     }
 }
 
-/// Routes `req` under both modes with fresh scratches and asserts the
-/// results (success or failure) are identical.
-fn assert_modes_agree(
-    cgra: &rewire_arch::Cgra,
+/// The dense reference DP's outcome for `req`.
+fn dense_route(
+    cgra: &Cgra,
     mrrg: &Mrrg,
     occ: &Occupancy,
     req: &RouteRequest,
-    cost: &impl rewire_mrrg::CostModel,
+    cost: &impl CostModel,
+) -> Result<Route, RouteError> {
+    reference_route(cgra, mrrg, occ, req, cost, None, &mut RefTally::default())
+}
+
+/// Routes `req` with the router (fresh scratch) and the dense reference
+/// and asserts the results (success or failure) are identical.
+fn assert_matches_dense(
+    cgra: &Cgra,
+    mrrg: &Mrrg,
+    occ: &Occupancy,
+    req: &RouteRequest,
+    cost: &impl CostModel,
 ) -> Result<(), TestCaseError> {
-    let dense = Router::with_mode(cgra, mrrg, RouterMode::Dense);
-    let pruned = Router::with_mode(cgra, mrrg, RouterMode::Pruned);
-    let a = dense.route_with(occ, req, cost, &mut RouterScratch::new());
-    let b = pruned.route_with(occ, req, cost, &mut RouterScratch::new());
-    prop_assert_eq!(a, b, "modes diverged on {:?}", req);
+    let pruned = Router::new(cgra, mrrg).route_with(occ, req, cost, &mut RouterScratch::new());
+    prop_assert_eq!(
+        pruned,
+        dense_route(cgra, mrrg, occ, req, cost),
+        "diverged from the dense DP on {:?}",
+        req
+    );
     Ok(())
 }
 
@@ -88,7 +104,7 @@ proptest! {
             dst_pe: PeId::new(dst % n),
             arrive_cycle: depart + extra,
         };
-        assert_modes_agree(&cgra, &mrrg, &occ, &req, &UnitCost)?;
+        assert_matches_dense(&cgra, &mrrg, &occ, &req, &UnitCost)?;
     }
 
     /// Same property under negotiated congestion costs (overused cells
@@ -129,7 +145,7 @@ proptest! {
             dst_pe: PeId::new(dst % n),
             arrive_cycle: 2 + extra,
         };
-        assert_modes_agree(&cgra, &mrrg, &occ, &req, &nc)?;
+        assert_matches_dense(&cgra, &mrrg, &occ, &req, &nc)?;
     }
 
     /// The byte-identical guarantee holds across oracle *tiers* too:
@@ -168,12 +184,10 @@ proptest! {
             dst_pe: PeId::new(dst % n),
             arrive_cycle: 1 + extra,
         };
-        let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
-        let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
         let mut ps = RouterScratch::new();
         ps.install_distances(Arc::new(DistanceOracle::Tiered(TieredDistance::build(&cgra))));
-        let a = dense.route_with(&occ, &req, &UnitCost, &mut RouterScratch::new());
-        let b = pruned.route_with(&occ, &req, &UnitCost, &mut ps);
+        let a = dense_route(&cgra, &mrrg, &occ, &req, &UnitCost);
+        let b = Router::new(&cgra, &mrrg).route_with(&occ, &req, &UnitCost, &mut ps);
         prop_assert_eq!(a, b, "tiered-oracle pruning diverged on {:?}", req);
     }
 }
@@ -187,11 +201,9 @@ fn all_pairs_sweep_on_the_paper_fabric() {
     for ii in [1u32, 2, 4] {
         let mrrg = Mrrg::new(&cgra, ii);
         let occ = Occupancy::new(&mrrg);
-        let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
-        let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
-        let mut ds = RouterScratch::new();
+        let router = Router::new(&cgra, &mrrg);
         let mut ps = RouterScratch::new();
-        // A third router on the landmark tier, exercising the big-fabric
+        // A second scratch on the landmark tier, exercising the big-fabric
         // configuration over the same exhaustive sweep.
         let mut ts = RouterScratch::new();
         ts.install_distances(Arc::new(DistanceOracle::Tiered(TieredDistance::build(
@@ -207,13 +219,46 @@ fn all_pairs_sweep_on_the_paper_fabric() {
                         dst_pe: PeId::new(dst),
                         arrive_cycle: 1 + extra,
                     };
-                    let a = dense.route_with(&occ, &req, &UnitCost, &mut ds);
-                    let b = pruned.route_with(&occ, &req, &UnitCost, &mut ps);
-                    let c = pruned.route_with(&occ, &req, &UnitCost, &mut ts);
+                    let a = dense_route(&cgra, &mrrg, &occ, &req, &UnitCost);
+                    let b = router.route_with(&occ, &req, &UnitCost, &mut ps);
+                    let c = router.route_with(&occ, &req, &UnitCost, &mut ts);
                     assert_eq!(a, b, "ii {ii}, {req:?}");
                     assert_eq!(a, c, "tiered tier, ii {ii}, {req:?}");
                 }
             }
         }
+    }
+}
+
+/// The long-haul corner route on the paper's 8x8 fabric, (0,0) to (7,7)
+/// in 14 hops plus `slack` spare cycles, at slack 0, 2 and 6: the router
+/// returns exactly the dense DP's `Result`, and its `router.expansions`
+/// stay strictly below the dense DP's relaxations, so the pruning both
+/// holds and pays.
+#[test]
+fn corner_route_matches_the_dense_dp_with_fewer_expansions() {
+    let cgra = presets::paper_8x8_r4();
+    let mrrg = Mrrg::new(&cgra, 4);
+    let occ = Occupancy::new(&mrrg);
+    let router = Router::new(&cgra, &mrrg);
+    let corner = |c: u16| cgra.pe_at(Coord::new(c, c)).unwrap().id();
+    for slack in [0u32, 2, 6] {
+        let req = RouteRequest {
+            signal: NodeId::new(0),
+            src_pe: corner(0),
+            depart_cycle: 1,
+            dst_pe: corner(7),
+            arrive_cycle: 1 + 14 + slack,
+        };
+        let (got, expansions, _) =
+            route_counted(&router, &occ, &req, &UnitCost, "test/route_pruning/corner");
+        let mut dense = RefTally::default();
+        let want = reference_route(&cgra, &mrrg, &occ, &req, &UnitCost, None, &mut dense);
+        assert_eq!(got, want, "slack {slack}");
+        assert!(
+            expansions < dense.relaxations,
+            "slack {slack}: {expansions} expansions vs {} dense relaxations",
+            dense.relaxations
+        );
     }
 }

@@ -93,8 +93,7 @@ fn snapshot(dfg: &Dfg, out: &MapOutcome) -> Snapshot {
     }
 }
 
-/// Deterministic caps bind, the wall clock never does (same idiom as
-/// `tests/route_pruning_mappers.rs`).
+/// Deterministic caps bind, the wall clock never does.
 fn limits_for(dfg: &Dfg, cgra: &Cgra) -> Option<MapLimits> {
     let mii = dfg.mii(cgra)?;
     Some(
