@@ -74,13 +74,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
     parsed
 }
 
-fn write_metrics(path: &str) {
-    let mut json = rewire_obs::metrics().snapshot().to_json();
-    json.push('\n');
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-    eprintln!("metrics written to {path}");
-}
-
 /// Max `router.distance_table_bytes` over every metric scope. Gauges sum
 /// per-thread values, so under `--jobs` fan-out this over-counts shared
 /// oracles — fine for a cap: the bound is conservative.
@@ -208,6 +201,8 @@ fn main() {
         run_curve(args.seconds_per_ii.unwrap_or(2.0), args.jobs, trace);
     }
     if let Some(path) = &args.metrics {
-        write_metrics(path);
+        rewire_obs::write_export(rewire_obs::Export::Metrics, path)
+            .unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
+        eprintln!("metrics written to {path}");
     }
 }

@@ -4,6 +4,7 @@ use crate::workloads::Workload;
 use rewire_core::RewireMapper;
 use rewire_mappers::engine::{EventSink, Fanout, JsonlTrace, MetricsSink, SharedSink};
 use rewire_mappers::{MapLimits, Mapper, PathFinderConfig, PathFinderMapper, SaMapper};
+use rewire_obs::Export;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -307,10 +308,6 @@ pub struct BenchArgs {
     pub chrome_trace: Option<String>,
     /// Flight-recorder JSON file path (`--flight FILE`), if requested.
     pub flight: Option<String>,
-    /// Fan-out mode (`--router tree|per-edge`, default tree). Tree mode
-    /// routes multi-sink signals as shared route trees; per-edge is the
-    /// independent-path baseline the differential gates compare against.
-    pub fanout: rewire_mrrg::FanoutMode,
 }
 
 impl BenchArgs {
@@ -367,27 +364,17 @@ impl BenchArgs {
     ///
     /// [`trace_sink`]: BenchArgs::trace_sink
     pub fn write_metrics(&self) {
-        if let Some(path) = &self.metrics {
-            let mut json = rewire_obs::metrics().snapshot().to_json();
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-            eprintln!("metrics written to {path}");
-        }
-        if let Some(path) = &self.chrome_trace {
-            let flight = rewire_obs::flight().snapshot();
-            let mut json = rewire_obs::chrome().export_json(Some(&flight));
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write chrome trace file {path}: {e}"));
-            eprintln!("chrome trace written to {path}");
-        }
-        if let Some(path) = &self.flight {
-            let mut json = rewire_obs::flight().snapshot().to_json();
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write flight log file {path}: {e}"));
-            eprintln!("flight log written to {path}");
+        let requested = [
+            (Export::Metrics, &self.metrics),
+            (Export::ChromeTrace, &self.chrome_trace),
+            (Export::Flight, &self.flight),
+        ];
+        for (export, path) in requested {
+            if let Some(path) = path {
+                rewire_obs::write_export(export, path)
+                    .unwrap_or_else(|e| panic!("cannot write {export} file {path}: {e}"));
+                eprintln!("{export} written to {path}");
+            }
         }
     }
 
@@ -428,15 +415,10 @@ impl BenchArgs {
 /// Parses the common experiment-binary CLI: an optional positional per-II
 /// budget in seconds plus optional `--jobs N` (or `--jobs=N`),
 /// `--trace FILE` (or `--trace=FILE`), `--metrics FILE` (or
-/// `--metrics=FILE`), `--kernels a,b` (or `--kernels=a,b`) and
-/// `--router tree|per-edge` (or `--router=MODE`) flags; `--router` picks
-/// the fan-out mode.
-///
-/// Installs the parsed fan-out mode as the process default, so every
-/// mapper thread the experiment spawns inherits it.
+/// `--metrics=FILE`), `--chrome-trace FILE`, `--flight FILE` and
+/// `--kernels a,b` (or `--kernels=a,b`) flags.
 pub fn parse_cli(default_secs: f64) -> BenchArgs {
     let parsed = parse_cli_from(std::env::args().skip(1), default_secs);
-    rewire_mrrg::set_default_fanout_mode(parsed.fanout);
     parsed.enable_collectors();
     parsed
 }
@@ -450,15 +432,7 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
         kernels: None,
         chrome_trace: None,
         flight: None,
-        fanout: rewire_mrrg::default_fanout_mode(),
     };
-    fn apply_router(parsed: &mut BenchArgs, v: &str) {
-        match v {
-            "tree" => parsed.fanout = rewire_mrrg::FanoutMode::Tree,
-            "per-edge" => parsed.fanout = rewire_mrrg::FanoutMode::PerEdge,
-            other => panic!("--router needs tree|per-edge, got {other:?}"),
-        }
-    }
     let parse_kernels = |v: &str| {
         v.split(',')
             .map(str::trim)
@@ -497,16 +471,11 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
             ));
         } else if let Some(v) = arg.strip_prefix("--kernels=") {
             parsed.kernels = Some(parse_kernels(v));
-        } else if arg == "--router" {
-            let v = args.next().expect("--router needs a mode");
-            apply_router(&mut parsed, &v);
-        } else if let Some(v) = arg.strip_prefix("--router=") {
-            apply_router(&mut parsed, v);
         } else if let Ok(v) = arg.parse::<f64>() {
             parsed.seconds_per_ii = v;
         } else {
             panic!(
-                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--chrome-trace FILE] [--flight FILE] [--kernels a,b] [--router tree|per-edge])"
+                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--chrome-trace FILE] [--flight FILE] [--kernels a,b])"
             );
         }
     }
@@ -661,31 +630,12 @@ mod tests {
         );
     }
 
+    /// Tree fan-out routing is the only behaviour, so the old mode flag
+    /// is junk like any other.
     #[test]
-    fn cli_parsing_accepts_fanout_mode() {
-        use rewire_mrrg::FanoutMode;
-        let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([], 2.0).fanout, FanoutMode::Tree);
-        assert_eq!(
-            parse_cli_from([arg("--router"), arg("per-edge")], 2.0).fanout,
-            FanoutMode::PerEdge
-        );
-        assert_eq!(
-            parse_cli_from([arg("--router=tree")], 2.0).fanout,
-            FanoutMode::Tree
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--router needs")]
-    fn cli_parsing_rejects_unknown_router_mode() {
-        parse_cli_from(["--router=fast".to_string()], 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "--router needs tree|per-edge, got \"dense\"")]
-    fn cli_parsing_rejects_the_removed_dense_sweep() {
-        parse_cli_from(["--router".to_string(), "dense".to_string()], 2.0);
+    #[should_panic(expected = "unrecognised argument \"--router\"")]
+    fn cli_parsing_rejects_the_removed_router_flag() {
+        parse_cli_from(["--router".to_string(), "tree".to_string()], 2.0);
     }
 
     #[test]

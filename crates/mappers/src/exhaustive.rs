@@ -187,6 +187,13 @@ pub struct ExhaustiveAttempt<'m> {
     mapper: &'m ExhaustiveMapper,
 }
 
+impl<'m> ExhaustiveAttempt<'m> {
+    /// Creates the attempt for one engine-driven II sweep.
+    pub fn new(mapper: &'m ExhaustiveMapper) -> Self {
+        Self { mapper }
+    }
+}
+
 impl IiAttempt for ExhaustiveAttempt<'_> {
     fn attempt(
         &mut self,
@@ -246,13 +253,7 @@ impl Mapper for ExhaustiveMapper {
                 stats,
             };
         }
-        IiSearch::new(self.name()).run(
-            dfg,
-            cgra,
-            limits,
-            &mut ExhaustiveAttempt { mapper: self },
-            events,
-        )
+        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut ExhaustiveAttempt::new(self), events)
     }
 }
 

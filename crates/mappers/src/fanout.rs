@@ -4,9 +4,8 @@
 //!
 //! This is how every mapper gets the Steiner-tree win without touching its
 //! search loop: the engine calls [`consolidate_fanout`] on each successful
-//! mapping (when [`FanoutMode::Tree`](rewire_mrrg::FanoutMode) is the
-//! process default), after the attempt and before the outcome is returned.
-//! The pass is *provably safe* by construction:
+//! mapping, after the attempt and before the outcome is returned. The pass
+//! is *provably safe* by construction:
 //!
 //! * **II never changes** — placements and schedule times are untouched;
 //!   only routes between fixed endpoints are replaced, and every
@@ -108,22 +107,46 @@ pub fn consolidate_fanout(dfg: &Dfg, cgra: &Cgra, mapping: &mut Mapping) -> Cons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MapLimits, Mapper, PathFinderMapper};
+    use crate::engine::{worker_seed, AttemptCtx, Emitter, IiAttempt, RunMeta, Silent};
+    use crate::{MapLimits, PathFinderMapper};
     use rewire_arch::presets;
     use rewire_dfg::kernels;
-    use rewire_mrrg::{set_default_fanout_mode, FanoutMode};
+    use std::time::Instant;
+
+    /// PF*'s raw mapping of `dfg`, taken straight from its `IiAttempt`
+    /// (so before the engine's consolidation pass, which leaves the pass
+    /// below something to improve), at the lowest II from MII that maps.
+    fn raw_pf_mapping(dfg: &Dfg, cgra: &Cgra) -> Option<Mapping> {
+        let limits = MapLimits::fast();
+        let mii = dfg.mii(cgra)?;
+        let mapper = PathFinderMapper::new();
+        let mut attempt = mapper.ii_attempt(&limits);
+        let mut sink = Silent;
+        let meta = RunMeta {
+            mapper: "PF*",
+            kernel: dfg.name(),
+            seed: limits.seed,
+        };
+        let mut emitter = Emitter::new(meta, &mut sink);
+        (mii..=limits.max_ii).find_map(|ii| {
+            let ctx = AttemptCtx {
+                ii,
+                mii,
+                deadline: Instant::now() + limits.ii_time_budget,
+                seed: worker_seed(limits.seed, ii, 0),
+                limits: &limits,
+            };
+            attempt.attempt(dfg, cgra, &ctx, &mut emitter).mapping
+        })
+    }
 
     /// Consolidation keeps the mapping valid, keeps the II, and never
     /// grows any signal's footprint.
     #[test]
     fn consolidation_is_safe_and_monotone() {
-        // Per-edge baseline mapping so the pass has something to improve.
-        let prev = set_default_fanout_mode(FanoutMode::PerEdge);
         let cgra = presets::paper_4x4_r4();
         let dfg = kernels::fir();
-        let out = PathFinderMapper::new().map(&dfg, &cgra, &MapLimits::fast());
-        set_default_fanout_mode(prev);
-        let mut m = out.mapping.expect("fir maps on 4x4/r4");
+        let mut m = raw_pf_mapping(&dfg, &cgra).expect("fir maps on 4x4/r4");
         let ii = m.ii();
 
         let before: Vec<(u64, usize)> = per_signal_footprints(&dfg, &m);

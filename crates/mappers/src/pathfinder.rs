@@ -25,9 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::{Dfg, EdgeId, NodeId};
-use rewire_mrrg::{
-    default_fanout_mode, CostModel, FanoutMode, Mrrg, NegotiatedCost, Resource, Route, Router,
-};
+use rewire_mrrg::{CostModel, Mrrg, NegotiatedCost, Resource, Route, Router};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
 
@@ -169,7 +167,6 @@ impl PathFinderMapper {
 
         let _negotiate_span = obs::span("negotiate");
         let mut iterations = 0u64;
-        let tree_mode = default_fanout_mode() == FanoutMode::Tree;
         // Stall detection drives the escalation to *partial remapping*
         // (the paper's term): when single-node moves stop reducing the
         // ill-node count, the victim's whole placed neighbourhood is
@@ -181,13 +178,12 @@ impl PathFinderMapper {
                 debug_assert!(mapping.is_valid(dfg, cgra));
                 return (Some(mapping), iterations, 0);
             }
-            // Subtree-delta re-routing (tree mode only): before ripping up
-            // whole placements, try the cheaper repair of re-growing just
-            // the branches of fan-out trees that cross congested cells.
+            // Subtree-delta re-routing: before ripping up whole
+            // placements, try the cheaper repair of re-growing just the
+            // branches of fan-out trees that cross congested cells.
             // Consumes no randomness, commits only on a strict overuse
             // decrease, and can finish the II on its own.
-            if tree_mode
-                && self.subtree_delta_reroute(dfg, &router, &mut mapping, &cost) > 0
+            if self.subtree_delta_reroute(dfg, &router, &mut mapping, &cost) > 0
                 && mapping.is_complete(dfg)
             {
                 debug_assert!(mapping.is_valid(dfg, cgra));
@@ -305,8 +301,8 @@ impl PathFinderMapper {
     /// *complete* mapping — i.e. it resolved the II attempt outright.
     /// Otherwise every branch is restored verbatim. Because the pass also
     /// consumes no randomness, a rolled-back pass leaves the negotiation
-    /// trajectory byte-identical to per-edge mode: tree mode can finish an
-    /// II earlier than per-edge PF*, but can never finish later.
+    /// trajectory byte-identical to one without the pass: the repair can
+    /// finish an II earlier than plain negotiation, but never later.
     ///
     /// Deterministic (node-id order) and a no-op when the mapping has no
     /// overuse. Returns the number of branches re-routed and kept, also
@@ -393,7 +389,7 @@ impl PathFinderMapper {
         if kept > 0 && !mapping.is_complete(dfg) {
             // The deltas helped but did not finish the II: roll everything
             // back so the regular negotiation proceeds exactly as it would
-            // have under per-edge routing.
+            // have without this pass.
             for (e, r) in undo.into_iter().rev() {
                 mapping.clear_route(e);
                 mapping.set_route(e, r);

@@ -20,7 +20,6 @@ use rewire_arch::{Cgra, PeId};
 use rewire_dfg::NodeId;
 use rewire_obs as obs;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -171,52 +170,6 @@ impl<C: CostModel> CostModel for TreeCost<'_, C> {
             cost
         })
     }
-}
-
-/// How multi-sink signals are routed: as one shared route tree per
-/// producer, or as independent per-edge paths.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FanoutMode {
-    /// Route fan-out as shared route trees: branches are grown in
-    /// deterministic order with [`TreeCost`]'s reuse discount, so sibling
-    /// branches converge on a shared trunk
-    /// ([`Router::route_fanout`]). The default.
-    Tree,
-    /// The original independent per-edge routing. Kept as the
-    /// differential baseline (tests, bench, `--router per-edge`).
-    PerEdge,
-}
-
-/// Process-wide default fan-out mode picked up by the mappers. A global
-/// (not a thread-local) because portfolio workers route from freshly
-/// spawned threads, and a whole-process differential run must reach those
-/// too.
-static DEFAULT_FANOUT_MODE: AtomicU8 = AtomicU8::new(0); // 0 = Tree
-
-fn fanout_to_u8(mode: FanoutMode) -> u8 {
-    match mode {
-        FanoutMode::Tree => 0,
-        FanoutMode::PerEdge => 1,
-    }
-}
-
-fn fanout_from_u8(v: u8) -> FanoutMode {
-    if v == 0 {
-        FanoutMode::Tree
-    } else {
-        FanoutMode::PerEdge
-    }
-}
-
-/// Sets the process-wide default [`FanoutMode`] and returns the previous
-/// one, so differential harnesses can restore it.
-pub fn set_default_fanout_mode(mode: FanoutMode) -> FanoutMode {
-    fanout_from_u8(DEFAULT_FANOUT_MODE.swap(fanout_to_u8(mode), Ordering::SeqCst))
-}
-
-/// The process-wide default [`FanoutMode`].
-pub fn default_fanout_mode() -> FanoutMode {
-    fanout_from_u8(DEFAULT_FANOUT_MODE.load(Ordering::SeqCst))
 }
 
 /// Value location during routing: on the PE's wire fabric, or parked in a
@@ -1582,18 +1535,6 @@ mod tests {
         assert_eq!(scratch.cached_oracles(), ORACLE_CACHE_CAP);
         // Re-requesting the MRU entry returns the very same Arc.
         assert!(Arc::ptr_eq(&scratch.distances_for(first), &rebuilt));
-    }
-
-    #[test]
-    fn default_fanout_toggle_round_trips() {
-        // Serialized within this one test: other tests in this binary
-        // never touch the global fan-out default.
-        assert_eq!(default_fanout_mode(), FanoutMode::Tree);
-        let prev = set_default_fanout_mode(FanoutMode::PerEdge);
-        assert_eq!(prev, FanoutMode::Tree);
-        assert_eq!(default_fanout_mode(), FanoutMode::PerEdge);
-        set_default_fanout_mode(prev);
-        assert_eq!(default_fanout_mode(), FanoutMode::Tree);
     }
 
     #[test]

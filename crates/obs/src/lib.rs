@@ -147,3 +147,61 @@ pub fn chrome() -> &'static ChromeTrace {
     static GLOBAL: OnceLock<ChromeTrace> = OnceLock::new();
     GLOBAL.get_or_init(ChromeTrace::default)
 }
+
+/// One JSON document a run exports from the process-global collectors
+/// when it ends (`--metrics`, `--flight`, `--chrome-trace` on the
+/// binaries). Displays as the name the binaries print.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Export {
+    /// The global [`metrics`] registry's [`Snapshot`].
+    Metrics,
+    /// The global [`flight`] recorder's [`FlightLog`].
+    Flight,
+    /// The global [`chrome`] span timeline, with the flight events
+    /// embedded as instants.
+    ChromeTrace,
+}
+
+impl std::fmt::Display for Export {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Export::Metrics => "metrics",
+            Export::Flight => "flight log",
+            Export::ChromeTrace => "chrome trace",
+        })
+    }
+}
+
+/// Snapshots `export` from the process-global collectors and writes it to
+/// `path` as one JSON document followed by a newline. The caller decides
+/// what an I/O error means for its run.
+pub fn write_export(export: Export, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    let mut json = match export {
+        Export::Metrics => metrics().snapshot().to_json(),
+        Export::Flight => flight().snapshot().to_json(),
+        Export::ChromeTrace => chrome().export_json(Some(&flight().snapshot())),
+    };
+    json.push('\n');
+    std::fs::write(path, json)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_export_writes_one_json_document_and_reports_io_errors() {
+        let dir = std::env::temp_dir().join(format!("rewire-obs-export-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for export in [Export::Metrics, Export::Flight, Export::ChromeTrace] {
+            let path = dir.join(format!("{export}.json"));
+            write_export(export, &path).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.ends_with("}\n"), "{export}: {text:?}");
+            assert!(json::parse(text.trim_end()).is_ok(), "{export}: {text:?}");
+        }
+        let missing = dir.join("no-such-dir").join("m.json");
+        assert!(write_export(Export::Metrics, &missing).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

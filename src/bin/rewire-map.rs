@@ -13,6 +13,7 @@
 //!
 //! Exit status: 0 = mapped, 1 = no mapping within budget, 2 = usage error.
 
+use rewire::obs::Export;
 use rewire::prelude::*;
 use rewire::sim::config::Configuration;
 use std::process::ExitCode;
@@ -42,7 +43,6 @@ struct Args {
     flight: Option<String>,
     chrome_trace: Option<String>,
     progress: bool,
-    fanout: FanoutMode,
 }
 
 impl Args {
@@ -71,7 +71,6 @@ impl Args {
             flight: None,
             chrome_trace: None,
             progress: false,
-            fanout: rewire::mrrg::default_fanout_mode(),
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -125,11 +124,6 @@ impl Args {
                 "--flight" => a.flight = Some(val("--flight")?),
                 "--chrome-trace" => a.chrome_trace = Some(val("--chrome-trace")?),
                 "--progress" => a.progress = true,
-                "--router" => match val("--router")?.as_str() {
-                    "tree" => a.fanout = FanoutMode::Tree,
-                    "per-edge" => a.fanout = FanoutMode::PerEdge,
-                    other => return Err(format!("--router: `{other}` (tree|per-edge)")),
-                },
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
             }
@@ -165,10 +159,7 @@ usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
   --metrics <file>                 write a metrics snapshot (counters, span timers) as JSON
   --flight <file>                  write the flight-recorder decision log as JSON
   --chrome-trace <file>            write a Chrome trace_event JSON (load in Perfetto)
-  --progress                       print per-II mapping progress to stderr
-  --router tree|per-edge           fan-out mode (default tree: multi-sink signals share one
-                                   route tree; per-edge is the independent-path baseline).
-                                   The router DP itself has one sweep, the pruned one";
+  --progress                       print per-II mapping progress to stderr";
 
 fn build_cgra(a: &Args) -> Result<Cgra, String> {
     if let Some(arch) = &a.arch {
@@ -233,7 +224,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    rewire::mrrg::set_default_fanout_mode(args.fanout);
     let loaded = match load_artifact(&mut args) {
         Ok(l) => l,
         Err(e) => {
@@ -322,35 +312,18 @@ fn main() -> ExitCode {
     if let Some(path) = &args.trace {
         println!("trace written to {path}");
     }
-    if let Some(path) = &args.metrics {
-        let mut json = rewire::obs::metrics().snapshot().to_json();
-        json.push('\n');
-        if let Err(e) = std::fs::write(path, json) {
+    let exports = [
+        (Export::Metrics, &args.metrics),
+        (Export::Flight, &args.flight),
+        (Export::ChromeTrace, &args.chrome_trace),
+    ];
+    for (export, path) in exports {
+        let Some(path) = path else { continue };
+        if let Err(e) = rewire::obs::write_export(export, path) {
             eprintln!("{path}: {e}");
             return ExitCode::from(2);
         }
-        println!("metrics written to {path}");
-    }
-    if args.flight.is_some() || args.chrome_trace.is_some() {
-        let flight_log = rewire::obs::flight().snapshot();
-        if let Some(path) = &args.flight {
-            let mut json = flight_log.to_json();
-            json.push('\n');
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("flight log written to {path}");
-        }
-        if let Some(path) = &args.chrome_trace {
-            let mut json = rewire::obs::chrome().export_json(Some(&flight_log));
-            json.push('\n');
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("chrome trace written to {path}");
-        }
+        println!("{export} written to {path}");
     }
     // The one-line summary below is the same `MapStats` Display that
     // `rewire-report` prints per run, so the two tools read identically.

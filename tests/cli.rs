@@ -32,6 +32,19 @@ fn unknown_kernel_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// Tree fan-out routing is the only behaviour; the old mode flag is an
+/// unknown flag like any other.
+#[test]
+fn removed_router_flag_is_a_usage_error() {
+    let out = rewire_map()
+        .args(["--kernel", "fir", "--router", "tree"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--router`"), "{stderr}");
+}
+
 #[test]
 fn missing_input_prints_usage() {
     let out = rewire_map().output().expect("binary runs");

@@ -9,12 +9,12 @@
 //! wall-clock deadline never binds — the precondition for byte-identical
 //! reruns.
 
+mod common;
+
 use rewire::prelude::*;
-use rewire_mappers::engine::{
-    worker_seed, AttemptCtx, Emitter, Fanout, IiAttempt, JsonlTrace, MetricsSink, RunMeta, Silent,
-};
+use rewire_mappers::engine::{Fanout, IiAttempt, JsonlTrace, MetricsSink};
 use rewire_mappers::{PathFinderConfig, SaConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything a mapping run produces, down to the exact placement.
 #[derive(Debug, PartialEq, Eq)]
@@ -175,62 +175,22 @@ fn flight_recorder_and_chrome_collectors_never_change_results() {
     assert!(covered >= 10, "only {covered} kernels were comparable");
 }
 
-/// A faithful replica of the outer loop every mapper used to hand-roll
-/// before the engine existed: `iis_explored` incremented per II, the per-II
-/// deadline computed at the top of each iteration, the attempt invoked, and
-/// the first success returned.
-fn legacy_loop(
+/// The hand-rolled loop's run in the engine's fingerprint terms.
+fn legacy_fingerprint(
     name: &str,
     attempt: &mut dyn IiAttempt,
     dfg: &Dfg,
     cgra: &Cgra,
     limits: &MapLimits,
 ) -> Fingerprint {
-    let mut iis_explored = 0u32;
-    let mut remap_iterations = 0u64;
-    let Some(mii) = dfg.mii(cgra) else {
-        return Fingerprint {
-            achieved_ii: None,
-            iis_explored,
-            remap_iterations,
-            placements: None,
-        };
-    };
-    for ii in mii..=limits.max_ii {
-        iis_explored += 1;
-        let deadline = Instant::now() + limits.ii_time_budget;
-        let ctx = AttemptCtx {
-            ii,
-            mii,
-            deadline,
-            seed: worker_seed(limits.seed, ii, 0),
-            limits,
-        };
-        let mut sink = Silent;
-        let mut emitter = Emitter::new(
-            RunMeta {
-                mapper: name,
-                kernel: dfg.name(),
-                seed: limits.seed,
-            },
-            &mut sink,
-        );
-        let out = attempt.attempt(dfg, cgra, &ctx, &mut emitter);
-        remap_iterations += out.iterations;
-        if let Some(m) = out.mapping {
-            return Fingerprint {
-                achieved_ii: Some(ii),
-                iis_explored,
-                remap_iterations,
-                placements: Some(dfg.node_ids().map(|n| m.placement(n)).collect()),
-            };
-        }
-    }
+    let run = common::legacy_loop(name, attempt, dfg, cgra, limits);
     Fingerprint {
-        achieved_ii: None,
-        iis_explored,
-        remap_iterations,
-        placements: None,
+        achieved_ii: run.achieved_ii,
+        iis_explored: run.iis_explored,
+        remap_iterations: run.remap_iterations,
+        placements: run
+            .mapping
+            .map(|m| dfg.node_ids().map(|n| m.placement(n)).collect()),
     }
 }
 
@@ -260,17 +220,17 @@ fn engine_matches_the_legacy_hand_rolled_loop() {
 
         let pf = PathFinderMapper::with_config(pf_config.clone());
         let engine = fingerprint(dfg, &pf.map(dfg, &cgra, &limits));
-        let legacy = legacy_loop("PF*", &mut pf.ii_attempt(&limits), dfg, &cgra, &limits);
+        let legacy = legacy_fingerprint("PF*", &mut pf.ii_attempt(&limits), dfg, &cgra, &limits);
         assert_eq!(engine, legacy, "PF* on {name}: engine vs legacy loop");
 
         let sa = SaMapper::with_config(sa_config.clone());
         let engine = fingerprint(dfg, &sa.map(dfg, &cgra, &limits));
-        let legacy = legacy_loop("SA", &mut sa.ii_attempt(&limits), dfg, &cgra, &limits);
+        let legacy = legacy_fingerprint("SA", &mut sa.ii_attempt(&limits), dfg, &cgra, &limits);
         assert_eq!(engine, legacy, "SA on {name}: engine vs legacy loop");
 
         let rw = RewireMapper::with_config(rw_config.clone());
         let engine = fingerprint(dfg, &rw.map(dfg, &cgra, &limits));
-        let legacy = legacy_loop("Rewire", &mut rw.ii_attempt(&limits), dfg, &cgra, &limits);
+        let legacy = legacy_fingerprint("Rewire", &mut rw.ii_attempt(&limits), dfg, &cgra, &limits);
         assert_eq!(engine, legacy, "Rewire on {name}: engine vs legacy loop");
     }
 }
